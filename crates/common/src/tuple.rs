@@ -68,14 +68,18 @@ impl Tuple {
         self.values.iter().map(Value::byte_size).sum()
     }
 
-    /// Concatenates two tuples (the output of a join); keeps the left
-    /// tuple's sequence number.
-    pub fn concat(&self, right: &Tuple) -> Tuple {
-        let mut values = self.values.to_vec();
-        values.extend(right.values.iter().cloned());
+    /// The output row of a join: `left`'s values then `right`'s, numbered
+    /// `seq`. The values are collected straight into the shared slice,
+    /// one allocation.
+    pub fn joined(left: &Tuple, right: &Tuple, seq: u64) -> Tuple {
         Tuple {
-            values: values.into(),
-            seq: self.seq,
+            values: left
+                .values
+                .iter()
+                .chain(right.values.iter())
+                .cloned()
+                .collect(),
+            seq,
         }
     }
 
@@ -135,13 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_keeps_left_seq() {
+    fn joined_concatenates_and_takes_seq() {
         let l = t(vec![Value::Int(1)], 5);
-        let r = t(vec![Value::Int(2)], 8);
-        let j = l.concat(&r);
-        assert_eq!(j.arity(), 2);
-        assert_eq!(j.seq(), 5);
-        assert_eq!(j.value(1), &Value::Int(2));
+        let r = t(vec![Value::Int(2), Value::str("x")], 8);
+        let j = Tuple::joined(&l, &r, 8);
+        assert_eq!(j.values(), &[Value::Int(1), Value::Int(2), Value::str("x")]);
+        assert_eq!(j.seq(), 8);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! state belonging to a set of hash buckets, which is how retrospective
 //! (R1) adaptations migrate operator state between nodes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use gridq_common::{Field, GridError, Result, Schema, Tuple, Value};
+use gridq_common::{Field, GridError, Result, Schema, Tuple};
 
 use crate::expr::Expr;
+use crate::join_table::JoinTable;
 use crate::service::{Service, ServiceRegistry};
 
 /// Identifies which input stream of a multi-input stage a tuple belongs
@@ -33,7 +33,8 @@ pub enum StreamTag {
     Probe,
 }
 
-/// The result of processing one tuple.
+/// The result of processing one tuple through
+/// [`PartitionEvaluator::process`].
 #[derive(Debug, Clone)]
 pub struct ProcessOutcome {
     /// Output tuples produced (possibly empty).
@@ -47,8 +48,28 @@ pub trait PartitionEvaluator: Send {
     /// The output schema.
     fn schema(&self) -> &Schema;
 
-    /// Processes one routed input tuple.
-    fn process(&mut self, stream: StreamTag, tuple: &Tuple) -> Result<ProcessOutcome>;
+    /// Processes one routed input tuple: appends its outputs to `out`
+    /// and returns the base processing cost in milliseconds on an
+    /// unperturbed node. On error `out` is left as it was. The one
+    /// evaluation method every evaluator implements; the executors call it
+    /// with their long-lived output buffer, so evaluating a tuple
+    /// allocates nothing beyond the output tuples themselves.
+    fn process_into(
+        &mut self,
+        stream: StreamTag,
+        tuple: &Tuple,
+        out: &mut Vec<Tuple>,
+    ) -> Result<f64>;
+
+    /// [`PartitionEvaluator::process_into`] with a fresh output vector.
+    fn process(&mut self, stream: StreamTag, tuple: &Tuple) -> Result<ProcessOutcome> {
+        let mut outputs = Vec::new();
+        let base_cost_ms = self.process_into(stream, tuple, &mut outputs)?;
+        Ok(ProcessOutcome {
+            outputs,
+            base_cost_ms,
+        })
+    }
 
     /// Called when an input stream is exhausted; may emit trailing
     /// outputs (none for the operators used here, but part of the
@@ -67,7 +88,7 @@ pub trait PartitionEvaluator: Send {
     /// Removes and returns the state tuples belonging to the given hash
     /// buckets (bucket = `stable_hash(key) % bucket_count`). The returned
     /// tuples are re-routed to the buckets' new owners and replayed there
-    /// through [`PartitionEvaluator::process`]. Stateless evaluators
+    /// through [`PartitionEvaluator::process_into`]. Stateless evaluators
     /// return nothing.
     fn extract_state(&mut self, _bucket_count: u32, _buckets: &[u32]) -> Vec<(StreamTag, Tuple)> {
         Vec::new()
@@ -130,7 +151,12 @@ impl PartitionEvaluator for ServiceCallEvaluator {
         &self.schema
     }
 
-    fn process(&mut self, stream: StreamTag, tuple: &Tuple) -> Result<ProcessOutcome> {
+    fn process_into(
+        &mut self,
+        stream: StreamTag,
+        tuple: &Tuple,
+        out: &mut Vec<Tuple>,
+    ) -> Result<f64> {
         if stream != StreamTag::Single {
             return Err(GridError::Execution(format!(
                 "service-call evaluator received {stream:?} stream"
@@ -141,17 +167,14 @@ impl PartitionEvaluator for ServiceCallEvaluator {
             arg_values.push(a.eval(tuple, &self.services)?);
         }
         let result = self.service.invoke(&arg_values)?;
-        let out = if self.keep_input {
+        out.push(if self.keep_input {
             let mut values = tuple.values().to_vec();
             values.push(result);
             Tuple::with_seq(values, tuple.seq())
         } else {
             Tuple::with_seq(vec![result], tuple.seq())
-        };
-        Ok(ProcessOutcome {
-            outputs: vec![out],
-            base_cost_ms: self.service.base_cost_ms(),
-        })
+        });
+        Ok(self.service.base_cost_ms())
     }
 }
 
@@ -224,8 +247,8 @@ impl EvaluatorFactory for ServiceCallFactory {
 pub struct HashJoinEvaluator {
     build_key: usize,
     probe_key: usize,
-    /// Build tuples grouped by key hash.
-    table: HashMap<u64, Vec<Tuple>>,
+    /// Build tuples indexed by key hash.
+    table: JoinTable,
     build_cost_ms: f64,
     probe_cost_ms: f64,
     projection: Option<Vec<Expr>>,
@@ -253,45 +276,34 @@ impl PartitionEvaluator for HashJoinEvaluator {
         &self.schema
     }
 
-    fn process(&mut self, stream: StreamTag, tuple: &Tuple) -> Result<ProcessOutcome> {
+    fn process_into(
+        &mut self,
+        stream: StreamTag,
+        tuple: &Tuple,
+        out: &mut Vec<Tuple>,
+    ) -> Result<f64> {
         match stream {
             StreamTag::Build => {
-                let key = tuple.value(self.build_key);
-                if !key.is_null() {
-                    self.table
-                        .entry(key.stable_hash())
-                        .or_default()
-                        .push(tuple.clone());
-                }
-                Ok(ProcessOutcome {
-                    outputs: Vec::new(),
-                    base_cost_ms: self.build_cost_ms,
-                })
+                let hash = tuple.value(self.build_key).stable_hash();
+                self.table.insert(hash, tuple.clone());
+                Ok(self.build_cost_ms)
             }
             StreamTag::Probe => {
-                let key: &Value = tuple.value(self.probe_key);
-                let mut outputs = Vec::new();
-                if !key.is_null() {
-                    if let Some(matches) = self.table.get(&key.stable_hash()) {
-                        let mut joined = Vec::new();
-                        for b in matches {
-                            if b.value(self.build_key).sql_eq(key) {
-                                // The probe tuple drives the output: its
-                                // sequence number identifies the result
-                                // for acknowledgement and failure
-                                // deduplication.
-                                joined.push(b.concat(tuple).renumbered(tuple.seq()));
-                            }
-                        }
-                        for j in joined {
-                            outputs.push(self.project_out(j)?);
+                let key = tuple.value(self.probe_key);
+                let start = out.len();
+                for b in self.table.probe(key.stable_hash(), key) {
+                    // The probe tuple drives the output: its sequence
+                    // number identifies the result for acknowledgement
+                    // and failure deduplication.
+                    match self.project_out(Tuple::joined(b, tuple, tuple.seq())) {
+                        Ok(row) => out.push(row),
+                        Err(e) => {
+                            out.truncate(start);
+                            return Err(e);
                         }
                     }
                 }
-                Ok(ProcessOutcome {
-                    outputs,
-                    base_cost_ms: self.probe_cost_ms,
-                })
+                Ok(self.probe_cost_ms)
             }
             StreamTag::Single => Err(GridError::Execution(
                 "hash-join evaluator requires Build/Probe streams".into(),
@@ -304,22 +316,15 @@ impl PartitionEvaluator for HashJoinEvaluator {
     }
 
     fn extract_state(&mut self, bucket_count: u32, buckets: &[u32]) -> Vec<(StreamTag, Tuple)> {
-        let wanted: std::collections::HashSet<u32> = buckets.iter().copied().collect();
-        let mut extracted = Vec::new();
-        self.table.retain(|&hash, tuples| {
-            let bucket = (hash % u64::from(bucket_count)) as u32;
-            if wanted.contains(&bucket) {
-                extracted.extend(tuples.drain(..).map(|t| (StreamTag::Build, t)));
-                false
-            } else {
-                true
-            }
-        });
-        extracted
+        self.table
+            .extract(bucket_count, buckets)
+            .into_iter()
+            .map(|t| (StreamTag::Build, t))
+            .collect()
     }
 
     fn state_size(&self) -> usize {
-        self.table.values().map(Vec::len).sum()
+        self.table.len()
     }
 }
 
@@ -383,7 +388,7 @@ impl EvaluatorFactory for HashJoinFactory {
         Box::new(HashJoinEvaluator {
             build_key: self.build_key,
             probe_key: self.probe_key,
-            table: HashMap::new(),
+            table: JoinTable::new(self.build_key),
             build_cost_ms: self.build_cost_ms,
             probe_cost_ms: self.probe_cost_ms,
             projection: self.projection.clone(),
@@ -421,7 +426,12 @@ impl PartitionEvaluator for FilterMapEvaluator {
         &self.schema
     }
 
-    fn process(&mut self, stream: StreamTag, tuple: &Tuple) -> Result<ProcessOutcome> {
+    fn process_into(
+        &mut self,
+        stream: StreamTag,
+        tuple: &Tuple,
+        out: &mut Vec<Tuple>,
+    ) -> Result<f64> {
         if stream != StreamTag::Single {
             return Err(GridError::Execution(format!(
                 "filter-map evaluator received {stream:?} stream"
@@ -429,13 +439,10 @@ impl PartitionEvaluator for FilterMapEvaluator {
         }
         if let Some(pred) = &self.predicate {
             if !pred.eval_predicate(tuple, &self.services)? {
-                return Ok(ProcessOutcome {
-                    outputs: Vec::new(),
-                    base_cost_ms: self.base_cost_ms,
-                });
+                return Ok(self.base_cost_ms);
             }
         }
-        let out = match &self.projection {
+        out.push(match &self.projection {
             None => tuple.clone(),
             Some(exprs) => {
                 let mut values = Vec::with_capacity(exprs.len());
@@ -444,11 +451,8 @@ impl PartitionEvaluator for FilterMapEvaluator {
                 }
                 Tuple::with_seq(values, tuple.seq())
             }
-        };
-        Ok(ProcessOutcome {
-            outputs: vec![out],
-            base_cost_ms: self.base_cost_ms,
-        })
+        });
+        Ok(self.base_cost_ms)
     }
 }
 
@@ -513,7 +517,7 @@ impl EvaluatorFactory for FilterMapFactory {
 mod tests {
     use super::*;
     use crate::service::FnService;
-    use gridq_common::DataType;
+    use gridq_common::{DataType, Value};
 
     fn str_schema(name: &str) -> Schema {
         Schema::new(vec![Field::new(name, DataType::Str)])

@@ -15,6 +15,7 @@
 pub mod distributed;
 pub mod evaluator;
 pub mod expr;
+pub mod join_table;
 pub mod logical;
 pub mod ops;
 pub mod physical;
@@ -26,6 +27,7 @@ pub use distributed::{
 };
 pub use evaluator::{EvaluatorFactory, PartitionEvaluator, StreamTag};
 pub use expr::Expr;
+pub use join_table::JoinTable;
 pub use logical::LogicalPlan;
 pub use physical::Catalog;
 pub use service::{

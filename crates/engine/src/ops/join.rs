@@ -4,11 +4,10 @@
 //! operator state that must be migrated when tuples are repartitioned
 //! across nodes (response type R1).
 
-use std::collections::HashMap;
-
 use gridq_common::{Result, Schema, Tuple, Value};
 
 use super::{BoxedOperator, Operator};
+use crate::join_table::JoinTable;
 
 /// An equi hash join. The build side is consumed eagerly on the first call
 /// to `next`; the probe side streams.
@@ -17,7 +16,7 @@ pub struct HashJoin {
     probe: BoxedOperator,
     build_key: usize,
     probe_key: usize,
-    table: HashMap<u64, Vec<Tuple>>,
+    table: JoinTable,
     /// Pending outputs for the current probe tuple (a probe tuple can match
     /// several build tuples).
     pending: Vec<Tuple>,
@@ -40,7 +39,7 @@ impl HashJoin {
             probe,
             build_key,
             probe_key,
-            table: HashMap::new(),
+            table: JoinTable::new(build_key),
             pending: Vec::new(),
             schema,
         }
@@ -49,11 +48,8 @@ impl HashJoin {
     fn build_phase(&mut self) -> Result<()> {
         if let Some(mut build) = self.build.take() {
             while let Some(t) = build.next()? {
-                let key = t.value(self.build_key);
-                if key.is_null() {
-                    continue; // NULL keys never join.
-                }
-                self.table.entry(key.stable_hash()).or_default().push(t);
+                let hash = t.value(self.build_key).stable_hash();
+                self.table.insert(hash, t);
             }
         }
         Ok(())
@@ -61,7 +57,7 @@ impl HashJoin {
 
     /// Number of build tuples currently held (operator state size).
     pub fn state_size(&self) -> usize {
-        self.table.values().map(Vec::len).sum()
+        self.table.len()
     }
 }
 
@@ -81,17 +77,8 @@ impl Operator for HashJoin {
                 None => return Ok(None),
             };
             let key: &Value = probe.value(self.probe_key);
-            if key.is_null() {
-                continue;
-            }
-            if let Some(matches) = self.table.get(&key.stable_hash()) {
-                for b in matches {
-                    // Guard against 64-bit hash collisions with a real
-                    // equality check.
-                    if b.value(self.build_key).sql_eq(key) {
-                        self.pending.push(b.concat(&probe));
-                    }
-                }
+            for b in self.table.probe(key.stable_hash(), key) {
+                self.pending.push(Tuple::joined(b, &probe, b.seq()));
             }
         }
     }

@@ -56,7 +56,7 @@ use gridq_engine::distributed::{DistributedPlan, Router};
 use gridq_engine::evaluator::{PartitionEvaluator, StreamTag};
 use gridq_engine::physical::Catalog;
 use gridq_grid::Perturbation;
-use gridq_obs::{Obs, ObsConfig, ObsReport, TimelineKind};
+use gridq_obs::{Counter, Obs, ObsConfig, ObsReport, TimelineKind};
 use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, SharedRecoveryLog};
 
 use dedup::DedupFilter;
@@ -387,6 +387,51 @@ fn spin_for(model_ms: f64, scale: f64) {
     let dur = Duration::from_secs_f64((model_ms * scale / 1000.0).max(0.0));
     if !dur.is_zero() {
         thread::sleep(dur);
+    }
+}
+
+/// What a producer or consumer thread owes the run between blocks: the
+/// modelled milliseconds it has not slept yet, and the tuples it counted
+/// (routed or processed) but has not yet added to the shared total and
+/// the obs counter. Settled once per block instead of once per tuple.
+struct Owed {
+    /// Modelled milliseconds not yet slept.
+    due: f64,
+    /// Tuples this thread has counted so far.
+    count: u64,
+    published: u64,
+    total: Arc<AtomicU64>,
+    counter: Option<Arc<Counter>>,
+}
+
+impl Owed {
+    fn new(total: Arc<AtomicU64>, counter: Option<Arc<Counter>>) -> Self {
+        Owed {
+            due: 0.0,
+            count: 0,
+            published: 0,
+            total,
+            counter,
+        }
+    }
+
+    /// Publishes the count, then pays the due time as one sleep.
+    /// Publishing first means the totals the adaptivity thread's
+    /// progress gate reads during the sleep are what per-tuple adds
+    /// would have made them.
+    fn settle(&mut self, scale: f64) {
+        let delta = self.count - self.published;
+        if delta > 0 {
+            self.total.fetch_add(delta, Ordering::Relaxed);
+            if let Some(c) = &self.counter {
+                c.add(delta);
+            }
+            self.published = self.count;
+        }
+        if self.due > 0.0 {
+            spin_for(self.due, scale);
+            self.due = 0.0;
+        }
     }
 }
 
@@ -835,20 +880,18 @@ impl ThreadedExecutor {
                 // recall barrier can never wait on a dead thread.
                 let _guard = gate.as_ref().map(|g| ProducerGuard::new(Arc::clone(g)));
                 let mut buffers: Vec<Vec<Staged>> = (0..rings.len()).map(|_| Vec::new()).collect();
-                // Ships one staged block to `dest`. Pays the modelled scan
-                // time accumulated in `due` first, in a single sleep:
-                // batching the per-row sleeps at block boundaries is what
-                // lifts the data plane above the OS timer granularity.
+                // Ships one staged block to `dest`. Settles what the scan
+                // owes first: the routed count, and the modelled scan time
+                // in a single sleep. Batching the per-row sleeps at block
+                // boundaries is what lifts the data plane above the OS
+                // timer granularity.
                 let flush = |dest: usize,
                              buffers: &mut Vec<Vec<Staged>>,
                              disconnected: &mut Vec<bool>,
-                             due: &mut f64,
+                             owed: &mut Owed,
                              started: &Instant,
                              retransmit: bool| {
-                    if *due > 0.0 {
-                        spin_for(*due, scale);
-                        *due = 0.0;
-                    }
+                    owed.settle(scale);
                     let items = std::mem::take(&mut buffers[dest]);
                     if items.is_empty() {
                         return;
@@ -967,9 +1010,9 @@ impl ThreadedExecutor {
                 };
                 let started_local = Instant::now();
                 let mut epoch = gate.as_ref().map(|g| g.epoch()).unwrap_or(0);
-                // Modelled scan milliseconds owed but not yet slept; paid
-                // in one batch at the next flush.
-                let mut due = 0.0f64;
+                // Modelled scan milliseconds and routed rows, settled in
+                // one batch at the next flush.
+                let mut owed = Owed::new(routed_total, routed_ctr);
                 let mut disconnected = vec![false; rings.len()];
                 for row in table.rows() {
                     if let Some(g) = &gate {
@@ -982,7 +1025,7 @@ impl ThreadedExecutor {
                     let stall = chaos
                         .as_ref()
                         .map_or(0.0, |c| c.stall_ms(StallSite::Producer, sidx));
-                    due += scan_cost
+                    owed.due += scan_cost
                         + if stall.is_finite() {
                             stall.max(0.0)
                         } else {
@@ -1001,10 +1044,7 @@ impl ThreadedExecutor {
                             window_closed = true;
                         }
                     }
-                    routed_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &routed_ctr {
-                        c.add(1);
-                    }
+                    owed.count += 1;
                     if resilient {
                         // Flush at window boundaries only: the interval is
                         // clamped to the buffer size, so a whole window
@@ -1016,7 +1056,7 @@ impl ThreadedExecutor {
                                 dest,
                                 &mut buffers,
                                 &mut disconnected,
-                                &mut due,
+                                &mut owed,
                                 &started_local,
                                 false,
                             );
@@ -1026,7 +1066,7 @@ impl ThreadedExecutor {
                             dest,
                             &mut buffers,
                             &mut disconnected,
-                            &mut due,
+                            &mut owed,
                             &started_local,
                             false,
                         );
@@ -1057,7 +1097,7 @@ impl ThreadedExecutor {
                         dest,
                         &mut buffers,
                         &mut disconnected,
-                        &mut due,
+                        &mut owed,
                         &started_local,
                         false,
                     );
@@ -1136,7 +1176,7 @@ impl ThreadedExecutor {
                                                 dest,
                                                 &mut buffers,
                                                 &mut disconnected,
-                                                &mut due,
+                                                &mut owed,
                                                 &started_local,
                                                 false,
                                             );
@@ -1163,7 +1203,7 @@ impl ThreadedExecutor {
                                         dest,
                                         &mut buffers,
                                         &mut disconnected,
-                                        &mut due,
+                                        &mut owed,
                                         &started_local,
                                         false,
                                     );
@@ -1201,7 +1241,7 @@ impl ThreadedExecutor {
                                             dest,
                                             &mut buffers,
                                             &mut disconnected,
-                                            &mut due,
+                                            &mut owed,
                                             &started_local,
                                             true,
                                         );
@@ -1271,7 +1311,6 @@ impl ThreadedExecutor {
             };
             consumer_handles.push(thread::spawn(move || -> (u64, u64) {
                 let started = Instant::now();
-                let mut processed = 0u64;
                 let mut outputs_total = 0u64;
                 let mut batch = 0u32;
                 let mut batch_cost = 0.0;
@@ -1294,10 +1333,11 @@ impl ThreadedExecutor {
                 // of O(tuples ever delivered).
                 let mut dedup = DedupFilter::new();
                 // Modelled processing cost accrued but not yet spent in
-                // real time; paid once per block (or control message)
-                // instead of once per tuple, which is where batching wins
-                // its throughput back from the sleep granularity floor.
-                let mut due = 0.0f64;
+                // real time, and the processed count not yet published;
+                // settled once per block (or control message) instead of
+                // once per tuple, which is where batching wins its
+                // throughput back from the sleep granularity floor.
+                let mut owed = Owed::new(processed_total, processed_ctr);
                 // Probe-window acks deferred while the build phase is
                 // incomplete: an ack is a *processing* receipt here, and
                 // held probes are unprocessed — a crash before the build
@@ -1347,23 +1387,23 @@ impl ThreadedExecutor {
                         dedup.window_acked(source, cp.id);
                     }
                 };
-                // Evaluates one tuple, accruing the modelled (and
-                // perturbed) cost into `due` for the caller to pay as one
-                // sleep. Shared by the streaming path, the held-probe
-                // replay, and migrated re-delivery, so every processed
-                // tuple feeds the same M1 batch. The M1 cost estimate
+                // Evaluates one tuple into `out`, accruing the modelled
+                // (and perturbed) cost and the count into `owed` for the
+                // caller to settle once. Shared by the streaming path, the
+                // held-probe replay, and migrated re-delivery, so every
+                // processed tuple feeds the same M1 batch. The M1 cost estimate
                 // stays per-tuple exact because it reads the model, not
                 // the wall clock.
                 let process_one = |evaluator: &mut Box<dyn PartitionEvaluator>,
                                    stream: StreamTag,
                                    tuple: &Tuple,
                                    out: &mut Vec<Tuple>,
-                                   processed: &mut u64,
                                    outputs_total: &mut u64,
                                    batch: &mut u32,
                                    batch_cost: &mut f64,
-                                   due: &mut f64| {
-                    let Ok(outcome) = evaluator.process(stream, tuple) else {
+                                   owed: &mut Owed| {
+                    let before = out.len();
+                    let Ok(base_cost_ms) = evaluator.process_into(stream, tuple, out) else {
                         return;
                     };
                     let stall = chaos
@@ -1373,7 +1413,7 @@ impl ThreadedExecutor {
                         let extra = ctr.load(Ordering::Relaxed).saturating_sub(1);
                         1.0 + alpha * cast::count_to_f64(u64::from(extra))
                     });
-                    let model_cost = (perturbed(outcome.base_cost_ms, perturbation.as_ref())
+                    let model_cost = (perturbed(base_cost_ms, perturbation.as_ref())
                         + receive_cost
                         + if stall.is_finite() {
                             stall.max(0.0)
@@ -1381,16 +1421,11 @@ impl ThreadedExecutor {
                             0.0
                         })
                         * tenants_factor;
-                    *due += model_cost;
-                    *processed += 1;
-                    processed_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &processed_ctr {
-                        c.add(1);
-                    }
+                    owed.due += model_cost;
+                    owed.count += 1;
                     *batch += 1;
                     *batch_cost += model_cost;
-                    *outputs_total += outcome.outputs.len() as u64;
-                    out.extend(outcome.outputs);
+                    *outputs_total += (out.len() - before) as u64;
                 };
                 // Emits the M1 for the current batch. `force` flushes a
                 // partial tail batch (end of stream); without it the
@@ -1448,12 +1483,11 @@ impl ThreadedExecutor {
                 let handle_block = |block: Block,
                                     evaluator: &mut Box<dyn PartitionEvaluator>,
                                     out: &mut Vec<Tuple>,
-                                    processed: &mut u64,
                                     outputs_total: &mut u64,
                                     batch: &mut u32,
                                     batch_cost: &mut f64,
                                     batch_wait: &mut f64,
-                                    due: &mut f64,
+                                    owed: &mut Owed,
                                     held_probes: &mut Vec<(usize, Tuple)>,
                                     pending_acks: &mut Vec<(usize, Checkpoint, u64)>,
                                     dedup: &mut DedupFilter,
@@ -1545,17 +1579,16 @@ impl ThreadedExecutor {
                                         stream,
                                         &tuple,
                                         out,
-                                        processed,
                                         outputs_total,
                                         batch,
                                         batch_cost,
-                                        due,
+                                        owed,
                                     );
                                     emit_m1(
                                         batch,
                                         batch_cost,
                                         batch_wait,
-                                        *processed,
+                                        owed.count,
                                         *outputs_total,
                                         false,
                                     );
@@ -1584,12 +1617,10 @@ impl ThreadedExecutor {
                             }
                         }
                     }
-                    // Pay the block's accumulated modelled cost as one
-                    // sleep instead of one per tuple.
-                    if *due > 0.0 {
-                        spin_for(*due, scale);
-                        *due = 0.0;
-                    }
+                    // Settle the block: publish its processed count and pay
+                    // its accumulated modelled cost as one sleep instead of
+                    // one per tuple.
+                    owed.settle(scale);
                 };
                 // Drains one ring, consulting the crash seam once per
                 // block. A macro rather than a closure: it needs the
@@ -1598,18 +1629,17 @@ impl ThreadedExecutor {
                     ($r:expr) => {
                         while let Some(block) = $r.pop() {
                             if chaos.as_ref().is_some_and(|c| c.crash_worker(i)) {
-                                return (processed, dedup.peak());
+                                return (owed.count, dedup.peak());
                             }
                             handle_block(
                                 block,
                                 &mut evaluator,
                                 &mut out,
-                                &mut processed,
                                 &mut outputs_total,
                                 &mut batch,
                                 &mut batch_cost,
                                 &mut batch_wait,
-                                &mut due,
+                                &mut owed,
                                 &mut held_probes,
                                 &mut pending_acks,
                                 &mut dedup,
@@ -1665,7 +1695,7 @@ impl ThreadedExecutor {
                         // Dying here means no flush, no acks, no control
                         // replies — exactly a vanished node.
                         if chaos.as_ref().is_some_and(|c| c.crash_worker(i)) {
-                            return (processed, dedup.peak());
+                            return (owed.count, dedup.peak());
                         }
                         match msg {
                             Msg::Eos {
@@ -1692,35 +1722,28 @@ impl ThreadedExecutor {
                                             if failover_on {
                                                 let _ = raw.send(Raw::Beat(i));
                                             }
-                                            if due > 0.0 {
-                                                spin_for(due, scale);
-                                                due = 0.0;
-                                            }
+                                            owed.settle(scale);
                                         }
                                         process_one(
                                             &mut evaluator,
                                             StreamTag::Probe,
                                             &tuple,
                                             &mut out,
-                                            &mut processed,
                                             &mut outputs_total,
                                             &mut batch,
                                             &mut batch_cost,
-                                            &mut due,
+                                            &mut owed,
                                         );
                                         emit_m1(
                                             &mut batch,
                                             &mut batch_cost,
                                             &mut batch_wait,
-                                            processed,
+                                            owed.count,
                                             outputs_total,
                                             false,
                                         );
                                     }
-                                    if due > 0.0 {
-                                        spin_for(due, scale);
-                                        due = 0.0;
-                                    }
+                                    owed.settle(scale);
                                     // The held probes are processed: their
                                     // deferred window acks are now true
                                     // processing receipts, so release them.
@@ -1735,7 +1758,7 @@ impl ThreadedExecutor {
                                         &mut batch,
                                         &mut batch_cost,
                                         &mut batch_wait,
-                                        processed,
+                                        owed.count,
                                         outputs_total,
                                         true,
                                     );
@@ -1799,8 +1822,10 @@ impl ThreadedExecutor {
                                             if dest == i {
                                                 // Outgoing buckets route away
                                                 // by construction; re-insert
-                                                // defensively if not.
-                                                let _ = evaluator.process(stream, &tuple);
+                                                // defensively if not. State is
+                                                // build tuples: no output.
+                                                let _ = evaluator
+                                                    .process_into(stream, &tuple, &mut out);
                                             } else {
                                                 if resilient {
                                                     // The log entry follows its
@@ -1916,24 +1941,20 @@ impl ThreadedExecutor {
                                         stream,
                                         &tuple,
                                         &mut out,
-                                        &mut processed,
                                         &mut outputs_total,
                                         &mut batch,
                                         &mut batch_cost,
-                                        &mut due,
+                                        &mut owed,
                                     );
                                     emit_m1(
                                         &mut batch,
                                         &mut batch_cost,
                                         &mut batch_wait,
-                                        processed,
+                                        owed.count,
                                         outputs_total,
                                         false,
                                     );
-                                    if due > 0.0 {
-                                        spin_for(due, scale);
-                                        due = 0.0;
-                                    }
+                                    owed.settle(scale);
                                 }
                             }
                         }
@@ -1963,18 +1984,17 @@ impl ThreadedExecutor {
                             let Some(block) = r.pop() else { break };
                             progressed = true;
                             if chaos.as_ref().is_some_and(|c| c.crash_worker(i)) {
-                                return (processed, dedup.peak());
+                                return (owed.count, dedup.peak());
                             }
                             handle_block(
                                 block,
                                 &mut evaluator,
                                 &mut out,
-                                &mut processed,
                                 &mut outputs_total,
                                 &mut batch,
                                 &mut batch_cost,
                                 &mut batch_wait,
-                                &mut due,
+                                &mut owed,
                                 &mut held_probes,
                                 &mut pending_acks,
                                 &mut dedup,
@@ -2028,8 +2048,9 @@ impl ThreadedExecutor {
                     // A clean exit is not a death: retire the lease.
                     let _ = raw.send(Raw::Done(i));
                 }
+                owed.settle(scale);
                 let _ = results.send(std::mem::take(&mut out));
-                (processed, dedup.peak())
+                (owed.count, dedup.peak())
             }));
         }
         drop(result_tx);
@@ -2705,6 +2726,43 @@ mod tests {
         rows
     }
 
+    /// The per-block counter publication loses nothing: the processed
+    /// counter equals the per-partition totals, and the routed counter
+    /// equals the input rows.
+    fn assert_counters_balance(report: &ThreadedReport, input_rows: u64) {
+        let counters = &report
+            .obs
+            .as_ref()
+            .expect("obs enabled by default")
+            .metrics
+            .counters;
+        let processed: u64 = report.per_partition_processed.iter().sum();
+        assert_eq!(counters.get("exec.tuples_processed"), Some(&processed));
+        assert_eq!(counters.get("exec.tuples_routed"), Some(&input_rows));
+    }
+
+    #[test]
+    fn counters_balance_with_held_probes() {
+        let build = int_table("b", 60);
+        let probe = int_table("p", 300);
+        // The build scan is 50x slower per row than the probe scan, so
+        // probes reach the consumers before the build phase ends and are
+        // held, then replayed, in slices, once it does.
+        let report = ThreadedExecutor::new(
+            catalog(&[&build, &probe]),
+            ThreadedConfig {
+                adaptivity: AdaptivityConfig::disabled(),
+                cost_scale: 0.01,
+                ..Default::default()
+            },
+        )
+        .run(&join_plan(&build, &probe, 5.0, 0.1))
+        .unwrap();
+        assert_eq!(report.results.len(), 60);
+        assert_eq!(report.per_partition_processed.iter().sum::<u64>(), 360);
+        assert_counters_balance(&report, 360);
+    }
+
     #[test]
     fn static_run_produces_all_results() {
         let table = int_table("t", 200);
@@ -2720,6 +2778,7 @@ mod tests {
         let report = exec.run(&plan).unwrap();
         assert_eq!(report.results.len(), 200);
         assert_eq!(report.per_partition_processed.iter().sum::<u64>(), 200);
+        assert_counters_balance(&report, 200);
         assert_eq!(report.adaptations_deployed, 0);
         assert_eq!(report.recalls_completed, 0);
         assert!(report.log_audits.is_empty(), "no recovery logs when off");
@@ -2992,6 +3051,7 @@ mod tests {
             report.state_tuples_migrated > 0,
             "a bucket-map change must migrate hash-table state: {report:?}"
         );
+        assert_counters_balance(&report, 360);
 
         // Ack-log conservation: every recorded tuple is accounted for as
         // pruned (acknowledged), retired (re-delivered by the recall), or
@@ -3466,6 +3526,7 @@ mod tests {
             multiset(&report.results),
             "a crashed consumer must not change the result multiset"
         );
+        assert_counters_balance(&report, 360);
         for audit in &report.log_audits {
             assert!(audit.conserved(), "log audit must balance: {audit:?}");
         }

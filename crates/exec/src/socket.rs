@@ -715,6 +715,9 @@ enum WCtl {
     Conn { stream: Stream, peer_last: u64 },
     /// Send one control payload (sequenced, outbox-backed).
     Msg(Vec<u8>),
+    /// Send the worker's CONFIG payload like `Msg`, then confirm on the
+    /// channel that it holds its sequence number.
+    Config(Vec<u8>, Sender<()>),
     /// Drain the data rings completely, then send the payload — used
     /// for the recall barrier (and the final shutdown), which must
     /// trail every data block staged before it.
@@ -815,6 +818,10 @@ impl WriterState {
                 self.conn = ok.then_some(stream);
             }
             WCtl::Msg(payload) => self.send_seq(payload, false),
+            WCtl::Config(payload, stamped) => {
+                self.send_seq(payload, false);
+                let _ = stamped.send(());
+            }
             WCtl::Barrier(payload) => {
                 // The barrier must trail every staged block. Producers
                 // are parked (recall) or finished (shutdown) when a
@@ -840,6 +847,25 @@ impl WriterState {
         }
         true
     }
+}
+
+/// Queues each worker's CONFIG on its writer and waits until every
+/// writer has stamped it. Producers must not start before this returns:
+/// the writer drains control, then sweeps the data rings, so a block
+/// pushed between the two would be stamped ahead of CONFIG, and the
+/// worker exits on any frame that precedes its CONFIG.
+fn send_configs(wctls: &[Sender<WCtl>], configs: Vec<Vec<u8>>) -> Result<()> {
+    let exited = || GridError::Execution("socket: a writer exited before stamping CONFIG".into());
+    let (stamped_tx, stamped_rx) = channel();
+    for (wctl, cfg) in wctls.iter().zip(configs) {
+        wctl.send(WCtl::Config(cfg, stamped_tx.clone()))
+            .map_err(|_| exited())?;
+    }
+    drop(stamped_tx);
+    for _ in wctls {
+        stamped_rx.recv().map_err(|_| exited())?;
+    }
+    Ok(())
 }
 
 fn writer_loop(mut st: WriterState, ctl: Receiver<WCtl>) {
@@ -1850,8 +1876,10 @@ impl SocketExecutor {
         }
 
         // Ship each worker its configuration: the first sequenced frame
-        // on the link, so it precedes every data block.
-        for (w, wctl) in wctls.iter().enumerate().take(partitions) {
+        // on the link, stamped before any producer starts, so it precedes
+        // every data block.
+        let mut configs = Vec::with_capacity(partitions);
+        for w in 0..partitions {
             let pert = self.config.perturbations.get(&stage.nodes[w]);
             let raw_stall = self
                 .config
@@ -1877,7 +1905,19 @@ impl SocketExecutor {
                 build_source,
                 stage: self.config.stage.clone(),
             };
-            let _ = wctl.send(WCtl::Msg(cfg.encode()));
+            configs.push(cfg.encode());
+        }
+        if let Err(e) = send_configs(&wctls, configs) {
+            force_teardown(
+                &shutdown,
+                &addr,
+                wctls,
+                writer_handles,
+                accept_handle,
+                &reader_handles,
+                workers,
+            );
+            return Err(e);
         }
 
         // Shared run counters.
@@ -2472,14 +2512,12 @@ impl WorkerState {
 
     /// Evaluates one tuple, accruing its (perturbed, linearized) cost.
     fn process_tuple(&mut self, stream: StreamTag, tuple: &Tuple) {
-        let Ok(outcome) = self.evaluator.process(stream, tuple) else {
+        let Ok(base_cost_ms) = self.evaluator.process_into(stream, tuple, &mut self.out) else {
             return;
         };
-        self.due += outcome.base_cost_ms * self.cfg.cost_factor
-            + self.cfg.cost_extra_ms
-            + self.cfg.receive_cost_ms;
+        self.due +=
+            base_cost_ms * self.cfg.cost_factor + self.cfg.cost_extra_ms + self.cfg.receive_cost_ms;
         self.processed += 1;
-        self.out.extend(outcome.outputs);
     }
 
     /// Ships a checkpoint ack. In resilient mode the pending outputs go
@@ -2757,9 +2795,10 @@ fn handle_msg(
         }
         tag::REINSERT => {
             // A recall routed state back to the worker that extracted
-            // it: re-insert raw, uncounted.
+            // it: re-insert raw, uncounted. Extracted state is build
+            // tuples, which produce no output.
             let (stream, _source, tuple) = dec_forward(&mut r)?;
-            let _ = st.evaluator.process(stream, &tuple);
+            let _ = st.evaluator.process_into(stream, &tuple, &mut st.out);
         }
         other => {
             return Err(GridError::Execution(format!(
@@ -3221,5 +3260,59 @@ mod tests {
             .run(&plan)
             .unwrap_err();
         assert!(matches!(err, GridError::Config(_)), "{err:?}");
+    }
+
+    /// CONFIG must hold the lowest sequence number on every link. The
+    /// writer here starts only when the test releases it, so a
+    /// configuration step that returned before its writers stamped
+    /// CONFIG (and let producers start) is caught deterministically.
+    #[test]
+    fn config_is_stamped_before_producers_may_start() {
+        let link = Arc::new(Mutex::new(LinkState::new()));
+        let (data_tx, data_rx) = ring::<Vec<u8>>(8);
+        let (wctl, ctl_rx) = channel::<WCtl>();
+        let st = WriterState {
+            worker: 0,
+            link: Arc::clone(&link),
+            chaos: None,
+            rings: vec![data_rx],
+            conn: None,
+        };
+        let (go_tx, go_rx) = channel::<()>();
+        let writer = thread::spawn(move || {
+            if go_rx.recv().is_ok() {
+                writer_loop(st, ctl_rx);
+            }
+        });
+        let (configured_tx, configured_rx) = channel();
+        let coordinator = {
+            let wctls = vec![wctl.clone()];
+            thread::spawn(move || {
+                let res = send_configs(&wctls, vec![vec![tag::CONFIG]]);
+                let _ = configured_tx.send(res);
+            })
+        };
+        assert!(
+            configured_rx
+                .recv_timeout(Duration::from_millis(100))
+                .is_err(),
+            "configuration returned before the writer stamped CONFIG"
+        );
+        go_tx.send(()).unwrap();
+        configured_rx.recv().unwrap().unwrap();
+        assert_eq!(link.lock().unacked(), 1);
+        // A producer starting now can only be stamped after CONFIG.
+        data_tx.push(vec![tag::DATA]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while link.lock().unacked() < 2 {
+            assert!(Instant::now() < deadline, "data block never stamped");
+            thread::yield_now();
+        }
+        let frames = link.lock().retransmit_after(0);
+        let tags: Vec<u8> = frames.iter().map(|f| f.payload[0]).collect();
+        assert_eq!(tags, vec![tag::CONFIG, tag::DATA]);
+        wctl.send(WCtl::Shutdown).unwrap();
+        writer.join().unwrap();
+        coordinator.join().unwrap();
     }
 }

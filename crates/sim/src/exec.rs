@@ -1045,10 +1045,16 @@ impl<'a> Run<'a> {
     fn process_tuple(&mut self, ci: u32, stream: StreamTag, tuple: Tuple) -> Result<()> {
         let i = ci as usize;
         let node = self.consumers[i].node;
-        let outcome = self.consumers[i].evaluator.process(stream, &tuple)?;
-        let proc =
-            self.env
-                .effective_cost_ms(node, outcome.base_cost_ms, self.now, &mut self.rng)?;
+        let consumer = &mut self.consumers[i];
+        let staged_before = consumer.out_staged.len();
+        let base_cost_ms =
+            consumer
+                .evaluator
+                .process_into(stream, &tuple, &mut consumer.out_staged)?;
+        let out_count = (consumer.out_staged.len() - staged_before) as u64;
+        let proc = self
+            .env
+            .effective_cost_ms(node, base_cost_ms, self.now, &mut self.rng)?;
         let mut cost = proc + self.config.receive_cost_ms;
         if self.adaptivity_on {
             cost += self.config.adapt_overhead_ms;
@@ -1059,8 +1065,6 @@ impl<'a> Run<'a> {
         cost += std::mem::take(&mut self.consumers[i].penalty_ms);
         cost += self.chaos_stall(StallSite::Consumer, i);
 
-        let out_count = outcome.outputs.len() as u64;
-        self.consumers[i].out_staged.extend(outcome.outputs);
         self.consumers[i].inputs += 1;
         self.consumers[i].outputs += out_count;
         self.consumers[i].batch_inputs += 1;
@@ -1992,15 +1996,13 @@ mod tests {
             &self.schema
         }
 
-        fn process(
+        fn process_into(
             &mut self,
             _stream: StreamTag,
             _tuple: &Tuple,
-        ) -> Result<gridq_engine::evaluator::ProcessOutcome> {
-            Ok(gridq_engine::evaluator::ProcessOutcome {
-                outputs: Vec::new(),
-                base_cost_ms: 0.0,
-            })
+            _out: &mut Vec<Tuple>,
+        ) -> Result<f64> {
+            Ok(0.0)
         }
     }
 
