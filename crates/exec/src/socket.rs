@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use gridq_common::sync::ring::{ring, RingReceiver, RingSender};
+use gridq_common::sync::ring::{ring, RingReceiver, RingSender, Waker};
 use gridq_common::sync::Mutex;
 use gridq_common::wire::{self, put_varint, Reader};
 use gridq_common::{
@@ -84,7 +84,8 @@ mod tag {
     /// Coordinator -> worker: a tuple re-delivered by the recall
     /// protocol (migrated state or a recalled held probe).
     pub const MIGRATED: u8 = 5;
-    /// Worker -> coordinator: a batch of result tuples.
+    /// Worker -> coordinator: result tuples, back to back to the end of
+    /// the payload (encoded one by one as the evaluator emits them).
     pub const RESULTS: u8 = 6;
     /// Worker -> coordinator: a checkpoint acknowledgement.
     pub const ACK: u8 = 7;
@@ -252,12 +253,6 @@ fn dec_forward(r: &mut Reader<'_>) -> Result<(StreamTag, usize, Tuple)> {
     let source = r.varint()? as usize;
     let tuple = wire::get_tuple(r)?;
     Ok((stream, source, tuple))
-}
-
-fn enc_results(tuples: &[Tuple]) -> Vec<u8> {
-    let mut out = vec![tag::RESULTS];
-    wire::put_tuples(&mut out, tuples);
-    out
 }
 
 fn enc_ack(source: usize, cp: Checkpoint, epoch: u64) -> Vec<u8> {
@@ -707,6 +702,12 @@ fn write_frame(conn: &mut Stream, frame: &Frame) -> std::io::Result<()> {
 // Coordinator: per-worker writer thread.
 // ---------------------------------------------------------------------------
 
+/// Blocks each producer may stage per worker before it parks.
+const RING_BLOCKS: usize = 8;
+
+/// Safety-net park bound: every push and command wakes an idle writer.
+const WRITER_PARK: Duration = Duration::from_millis(2);
+
 /// Control commands for one worker's writer thread.
 enum WCtl {
     /// A (re)established connection, plus the worker's advertised
@@ -728,77 +729,141 @@ enum WCtl {
     Shutdown,
 }
 
+/// A writer's control address. Every send wakes the writer.
+#[derive(Clone)]
+struct WriterTx {
+    tx: Sender<WCtl>,
+    waker: Arc<Waker>,
+}
+
+impl WriterTx {
+    /// Sends a command; returns whether the writer still exists.
+    fn send(&self, ctl: WCtl) -> bool {
+        let ok = self.tx.send(ctl).is_ok();
+        self.waker.wake();
+        ok
+    }
+}
+
+/// A producer's data edge to one writer. Every push wakes the writer.
+struct DataTx {
+    ring: RingSender<Vec<u8>>,
+    waker: Arc<Waker>,
+}
+
+impl DataTx {
+    /// Pushes one block, parking while the ring is full; `Err` returns
+    /// it once the writer is gone.
+    fn push(&self, payload: Vec<u8>) -> std::result::Result<(), Vec<u8>> {
+        let res = self.ring.push(payload);
+        self.waker.wake();
+        res
+    }
+}
+
+/// A chaos seam that fired on one data frame: `conn_drop` or
+/// `partial_write`.
+#[derive(Clone, Copy)]
+enum Seam {
+    Drop,
+    Chunk,
+}
+
 struct WriterState {
     worker: usize,
     link: Arc<Mutex<LinkState>>,
     chaos: Option<Arc<dyn ChaosHook>>,
     /// One data ring per producer, drained round-robin.
     rings: Vec<RingReceiver<Vec<u8>>>,
+    waker: Arc<Waker>,
     conn: Option<Stream>,
+    /// Encoded frames of the batch being written, reused across sweeps.
+    out: Vec<u8>,
 }
 
 impl WriterState {
-    /// Stamps `payload` into the link outbox and writes it if a
-    /// connection is live. The stamp happens unconditionally: a failed
-    /// or skipped write leaves the frame in the outbox, and the next
-    /// reconnection's `retransmit_after` delivers it. `data` gates the
-    /// chaos seams — only data frames are dropped/chunked, mirroring
-    /// the threaded executor's data-plane-only injection.
-    fn send_seq(&mut self, payload: Vec<u8>, data: bool) {
-        if data
-            && self.conn.is_some()
-            && self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.conn_drop(self.worker))
-        {
-            // Tear the connection down mid-stream: the worker sees EOF,
-            // reconnects, and the handshake retransmits this frame and
-            // everything unacknowledged before it.
-            if let Some(c) = &self.conn {
-                let _ = c.shutdown_both();
-            }
-            self.conn = None;
-        }
-        let frame = self.link.lock().stamp(kind::MSG, payload);
-        let Some(conn) = &mut self.conn else { return };
-        let bytes = frame.encode();
-        let chunked = data
-            && self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.partial_write(self.worker));
-        let res = if chunked {
-            // Deliberately tiny writes with a flush after each: the
-            // worker's incremental decoder must reassemble headers and
-            // payloads split at arbitrary byte boundaries.
-            let mut r = Ok(());
-            for chunk in bytes.chunks(7) {
-                r = conn.write_all(chunk).and_then(|()| conn.flush());
-                if r.is_err() {
+    /// Stamps `payloads` into the link outbox under one lock and, if a
+    /// connection is live, writes their frames with one `write_all` +
+    /// `flush`. The stamps happen unconditionally: a failed or skipped
+    /// write leaves the frames in the outbox, and the next
+    /// reconnection's `retransmit_after` delivers them. `data` gates the
+    /// chaos seams (data frames only, like the threaded executor's
+    /// injection), consulted once per frame while connected. A seam ends
+    /// the batch: the frames before it are written, then it applies.
+    fn send(&mut self, payloads: impl IntoIterator<Item = Vec<u8>>, data: bool) {
+        let mut payloads = payloads.into_iter().peekable();
+        while payloads.peek().is_some() {
+            let mut seam = None;
+            let mut link = self.link.lock();
+            for payload in payloads.by_ref() {
+                let at = self.out.len();
+                if data && self.conn.is_some() {
+                    if let Some(c) = &self.chaos {
+                        if c.conn_drop(self.worker) {
+                            seam = Some((at, Seam::Drop));
+                        } else if c.partial_write(self.worker) {
+                            seam = Some((at, Seam::Chunk));
+                        }
+                    }
+                }
+                let frame = link.stamp_retained(kind::MSG, payload);
+                if self.conn.is_some() {
+                    frame.encode_into(&mut self.out);
+                }
+                if seam.is_some() {
                     break;
                 }
             }
-            r
-        } else {
-            conn.write_all(&bytes).and_then(|()| conn.flush())
-        };
-        if res.is_err() {
-            self.conn = None;
+            drop(link);
+            self.write_out(seam);
         }
     }
 
-    /// One round-robin sweep over the data rings; returns whether
-    /// anything was sent. A single sweep (not drain-to-empty) keeps the
-    /// writer responsive to control commands — reconnections especially.
-    fn sweep_rings(&mut self) -> bool {
-        let mut wrote = false;
-        for idx in 0..self.rings.len() {
-            if let Some(payload) = self.rings[idx].pop() {
-                self.send_seq(payload, true);
-                wrote = true;
+    /// Writes the batch in `out` outside the link lock, so a stalled peer
+    /// never blocks the reader, applying a seam at its offset.
+    fn write_out(&mut self, seam: Option<(usize, Seam)>) {
+        if let Some(conn) = &mut self.conn {
+            let cut = seam.map_or(self.out.len(), |(at, _)| at);
+            let mut res = conn.write_all(&self.out[..cut]);
+            match seam {
+                // Tear the connection down mid-stream: the worker sees
+                // EOF, reconnects, and the handshake retransmits this
+                // frame and everything unacknowledged before it.
+                Some((_, Seam::Drop)) => {
+                    let _ = conn.shutdown_both();
+                    res = Err(std::io::ErrorKind::ConnectionAborted.into());
+                }
+                // Deliberately tiny writes with a flush after each: the
+                // worker's incremental decoder must reassemble headers
+                // and payloads split at arbitrary byte boundaries.
+                Some((_, Seam::Chunk)) => {
+                    for chunk in self.out[cut..].chunks(7) {
+                        res = res.and_then(|()| conn.write_all(chunk).and_then(|()| conn.flush()));
+                    }
+                }
+                None => {}
+            }
+            if res.and_then(|()| conn.flush()).is_err() {
+                self.conn = None;
             }
         }
+        self.out.clear();
+    }
+
+    /// Ships every ready ring block as one coalesced write; returns
+    /// whether anything was sent. Round-robin passes, at most one ring's
+    /// capacity, keep the writer responsive to control commands.
+    fn sweep_rings(&mut self) -> bool {
+        let mut blocks = Vec::new();
+        for _ in 0..RING_BLOCKS {
+            let before = blocks.len();
+            blocks.extend(self.rings.iter().filter_map(RingReceiver::pop));
+            if blocks.len() == before {
+                break;
+            }
+        }
+        let wrote = !blocks.is_empty();
+        self.send(blocks, true);
         wrote
     }
 
@@ -806,20 +871,15 @@ impl WriterState {
     fn handle(&mut self, ctl: WCtl) -> bool {
         match ctl {
             WCtl::Conn { stream, peer_last } => {
-                let frames = self.link.lock().retransmit_after(peer_last);
-                let mut stream = stream;
-                let mut ok = true;
-                for f in &frames {
-                    if write_frame(&mut stream, f).is_err() {
-                        ok = false;
-                        break;
-                    }
+                for f in self.link.lock().retransmit_after(peer_last) {
+                    f.encode_into(&mut self.out);
                 }
-                self.conn = ok.then_some(stream);
+                self.conn = Some(stream);
+                self.write_out(None);
             }
-            WCtl::Msg(payload) => self.send_seq(payload, false),
+            WCtl::Msg(payload) => self.send([payload], false),
             WCtl::Config(payload, stamped) => {
-                self.send_seq(payload, false);
+                self.send([payload], false);
                 let _ = stamped.send(());
             }
             WCtl::Barrier(payload) => {
@@ -828,19 +888,15 @@ impl WriterState {
                 // barrier is issued, so the rings are quiescent and this
                 // drain terminates.
                 while self.sweep_rings() {}
-                self.send_seq(payload, false);
+                self.send([payload], false);
             }
             WCtl::AckNow => {
                 // Only send when a connection is live: the ack frame is
                 // unsequenced and would otherwise silently reset the
                 // received-since-ack debt without relieving the peer.
                 if self.conn.is_some() {
-                    let f = self.link.lock().ack_frame();
-                    if let Some(conn) = &mut self.conn {
-                        if write_frame(conn, &f).is_err() {
-                            self.conn = None;
-                        }
-                    }
+                    self.link.lock().ack_frame().encode_into(&mut self.out);
+                    self.write_out(None);
                 }
             }
             WCtl::Shutdown => return false,
@@ -854,12 +910,13 @@ impl WriterState {
 /// the writer drains control, then sweeps the data rings, so a block
 /// pushed between the two would be stamped ahead of CONFIG, and the
 /// worker exits on any frame that precedes its CONFIG.
-fn send_configs(wctls: &[Sender<WCtl>], configs: Vec<Vec<u8>>) -> Result<()> {
+fn send_configs(wctls: &[WriterTx], configs: Vec<Vec<u8>>) -> Result<()> {
     let exited = || GridError::Execution("socket: a writer exited before stamping CONFIG".into());
     let (stamped_tx, stamped_rx) = channel();
     for (wctl, cfg) in wctls.iter().zip(configs) {
-        wctl.send(WCtl::Config(cfg, stamped_tx.clone()))
-            .map_err(|_| exited())?;
+        if !wctl.send(WCtl::Config(cfg, stamped_tx.clone())) {
+            return Err(exited());
+        }
     }
     drop(stamped_tx);
     for _ in wctls {
@@ -869,31 +926,32 @@ fn send_configs(wctls: &[Sender<WCtl>], configs: Vec<Vec<u8>>) -> Result<()> {
 }
 
 fn writer_loop(mut st: WriterState, ctl: Receiver<WCtl>) {
+    // An idle pass registers the writer on its waker and polls both
+    // planes once more; only a second idle pass parks. A push or command
+    // that lands between a poll and the park therefore still wakes it.
+    let mut registered = false;
     loop {
         // Control first, exhaustively: a reconnection or barrier must
         // not wait behind a long data backlog.
-        loop {
-            match ctl.try_recv() {
-                Ok(c) => {
-                    if !st.handle(c) {
-                        return;
-                    }
+        let busy = match ctl.try_recv() {
+            Ok(c) => {
+                if !st.handle(c) {
+                    return;
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
+                true
             }
-        }
-        if !st.sweep_rings() {
-            match ctl.recv_timeout(Duration::from_millis(2)) {
-                Ok(c) => {
-                    if !st.handle(c) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+            Err(TryRecvError::Empty) => st.sweep_rings(),
+            Err(TryRecvError::Disconnected) => return,
+        };
+        if !busy && !registered {
+            st.waker.register();
+        } else if registered {
+            if !busy {
+                thread::park_timeout(WRITER_PARK);
             }
+            st.waker.clear();
         }
+        registered = !busy && !registered;
     }
 }
 
@@ -936,7 +994,7 @@ struct ReaderCtx {
     logs: Option<SharedLogs>,
     router: Arc<Mutex<Router>>,
     chaos: Option<Arc<dyn ChaosHook>>,
-    writers: Vec<Sender<WCtl>>,
+    writers: Vec<WriterTx>,
     events: Sender<Event>,
     replies: Sender<Reply>,
     shutdown: Arc<AtomicBool>,
@@ -951,7 +1009,10 @@ fn dispatch(ctx: &ReaderCtx, payload: &[u8]) -> Result<()> {
     let mut r = Reader::new(payload);
     match r.u8()? {
         tag::RESULTS => {
-            let tuples = wire::get_tuples(&mut r)?;
+            let mut tuples = Vec::new();
+            while !r.is_empty() {
+                tuples.push(wire::get_tuple(&mut r)?);
+            }
             let _ = ctx.events.send(Event::Results(tuples));
         }
         tag::ACK => {
@@ -1144,6 +1205,9 @@ struct WireConfig {
     eos_needed: usize,
     build_eos_needed: usize,
     build_source: Option<usize>,
+    /// The plan's exchange block size: the held-probe replay ships a
+    /// RESULTS frame whenever this many rows are pending.
+    block_tuples: usize,
     stage: WireStageSpec,
 }
 
@@ -1162,6 +1226,7 @@ impl WireConfig {
         put_varint(&mut out, self.eos_needed as u64);
         put_varint(&mut out, self.build_eos_needed as u64);
         put_varint(&mut out, self.build_source.map_or(0, |b| b as u64 + 1));
+        put_varint(&mut out, self.block_tuples as u64);
         self.stage.encode(&mut out);
         out
     }
@@ -1182,6 +1247,7 @@ impl WireConfig {
             0 => None,
             b => Some(b as usize - 1),
         };
+        let block_tuples = r.varint()? as usize;
         let stage = WireStageSpec::decode(r)?;
         Ok(WireConfig {
             worker,
@@ -1196,6 +1262,7 @@ impl WireConfig {
             eos_needed,
             build_eos_needed,
             build_source,
+            block_tuples,
             stage,
         })
     }
@@ -1221,7 +1288,7 @@ struct DriverStats {
 struct Driver {
     router: Arc<Mutex<Router>>,
     logs: Option<SharedLogs>,
-    writers: Vec<Sender<WCtl>>,
+    writers: Vec<WriterTx>,
     resilient: bool,
     build_source: Option<usize>,
     stats: DriverStats,
@@ -1483,12 +1550,42 @@ fn run_driver(
 // The executor.
 // ---------------------------------------------------------------------------
 
+/// How often the coordinator checks that workers it awaits are alive.
+const WORKER_POLL: Duration = Duration::from_millis(20);
+
 /// A launched worker awaiting teardown.
 enum WorkerJoin {
     /// An in-process worker thread.
     Thread(thread::JoinHandle<Result<()>>),
     /// A spawned `gridq-node` process.
     Process(Child),
+}
+
+impl WorkerJoin {
+    /// Whether the worker has exited. Before SHUTDOWN that means it
+    /// failed.
+    fn exited(&mut self) -> bool {
+        match self {
+            WorkerJoin::Thread(h) => h.is_finished(),
+            WorkerJoin::Process(c) => matches!(c.try_wait(), Ok(Some(_))),
+        }
+    }
+
+    /// Waits for worker `i` to exit and describes its failure, if any.
+    fn wait(self, i: usize) -> Option<String> {
+        match self {
+            WorkerJoin::Thread(h) => match h.join() {
+                Ok(Ok(())) => None,
+                Ok(Err(e)) => Some(format!("worker {i}: {e}")),
+                Err(_) => Some(format!("worker {i}")),
+            },
+            WorkerJoin::Process(mut c) => match c.wait() {
+                Ok(status) if status.success() => None,
+                Ok(status) => Some(format!("worker process {i}: {status}")),
+                Err(e) => Some(format!("worker process {i}: {e}")),
+            },
+        }
+    }
 }
 
 /// Decrements a shared counter on drop, so a panicking producer still
@@ -1502,18 +1599,21 @@ impl Drop for Decrement {
 }
 
 /// Forced teardown for error paths: close everything down without
-/// waiting on worker cooperation. Spawned children are killed;
-/// in-process worker threads exit on their own once the listener dies
-/// (their reconnect attempts fail fast).
+/// waiting on worker cooperation, and return `err` with the in-process
+/// workers' own errors appended. Spawned children are killed;
+/// in-process worker threads are joined, which is prompt: once the
+/// listener dies their reconnect attempts fail fast.
+#[allow(clippy::too_many_arguments)]
 fn force_teardown(
+    err: GridError,
     shutdown: &AtomicBool,
     addr: &Addr,
-    wctls: Vec<Sender<WCtl>>,
+    wctls: Vec<WriterTx>,
     writer_handles: Vec<thread::JoinHandle<()>>,
     accept_handle: thread::JoinHandle<()>,
     reader_handles: &Mutex<Vec<thread::JoinHandle<()>>>,
     workers: Vec<WorkerJoin>,
-) {
+) -> GridError {
     for w in &wctls {
         let _ = w.send(WCtl::Shutdown);
     }
@@ -1527,17 +1627,24 @@ fn force_teardown(
     for h in std::mem::take(&mut *reader_handles.lock()) {
         let _ = h.join();
     }
-    for w in workers {
+    let mut failures = Vec::new();
+    for (i, w) in workers.into_iter().enumerate() {
         match w {
-            WorkerJoin::Thread(_) => {}
             WorkerJoin::Process(mut c) => {
                 let _ = c.kill();
                 let _ = c.wait();
             }
+            thread => failures.extend(thread.wait(i)),
         }
     }
     if let Addr::Unix(p) = addr {
         let _ = std::fs::remove_file(p);
+    }
+    match err {
+        GridError::Execution(m) if !failures.is_empty() => {
+            GridError::Execution(format!("{m}; {}", failures.join(", ")))
+        }
+        err => err,
     }
 }
 
@@ -1657,33 +1764,40 @@ impl SocketExecutor {
         let addr = listener.local_addr()?;
 
         // Per-worker link state, writer threads, and data rings.
-        const RING_BLOCKS: usize = 8;
         let producers_n = plan.sources.len();
         let links: Vec<Arc<Mutex<LinkState>>> = (0..partitions)
             .map(|_| Arc::new(Mutex::new(LinkState::new())))
             .collect();
-        let mut ring_txs: Vec<Vec<RingSender<Vec<u8>>>> =
-            (0..producers_n).map(|_| Vec::new()).collect();
+        let wakers: Vec<Arc<Waker>> = (0..partitions).map(|_| Arc::new(Waker::new())).collect();
+        let mut ring_txs: Vec<Vec<DataTx>> = (0..producers_n).map(|_| Vec::new()).collect();
         let mut ring_rxs: Vec<Vec<RingReceiver<Vec<u8>>>> =
             (0..partitions).map(|_| Vec::new()).collect();
         for ring_tx_row in ring_txs.iter_mut() {
-            for ring_rx_row in ring_rxs.iter_mut() {
+            for (ring_rx_row, waker) in ring_rxs.iter_mut().zip(&wakers) {
                 let (tx, rx) = ring::<Vec<u8>>(RING_BLOCKS);
-                ring_tx_row.push(tx);
+                ring_tx_row.push(DataTx {
+                    ring: tx,
+                    waker: Arc::clone(waker),
+                });
                 ring_rx_row.push(rx);
             }
         }
-        let mut wctls: Vec<Sender<WCtl>> = Vec::with_capacity(partitions);
+        let mut wctls: Vec<WriterTx> = Vec::with_capacity(partitions);
         let mut writer_handles = Vec::with_capacity(partitions);
-        for (w, rings) in ring_rxs.into_iter().enumerate() {
+        for (w, (rings, waker)) in ring_rxs.into_iter().zip(wakers).enumerate() {
             let (tx, rx) = channel::<WCtl>();
-            wctls.push(tx);
+            wctls.push(WriterTx {
+                tx,
+                waker: Arc::clone(&waker),
+            });
             let st = WriterState {
                 worker: w,
                 link: Arc::clone(&links[w]),
                 chaos: self.config.chaos.clone(),
                 rings,
+                waker,
                 conn: None,
+                out: Vec::new(),
             };
             writer_handles.push(thread::spawn(move || writer_loop(st, rx)));
         }
@@ -1826,7 +1940,8 @@ impl SocketExecutor {
                     match child {
                         Ok(c) => workers.push(WorkerJoin::Process(c)),
                         Err(e) => {
-                            force_teardown(
+                            return Err(force_teardown(
+                                e,
                                 &shutdown,
                                 &addr,
                                 wctls,
@@ -1834,8 +1949,7 @@ impl SocketExecutor {
                                 accept_handle,
                                 &reader_handles,
                                 workers,
-                            );
-                            return Err(e);
+                            ));
                         }
                     }
                 }
@@ -1850,7 +1964,10 @@ impl SocketExecutor {
             while seen < partitions {
                 let now = Instant::now();
                 if now >= deadline {
-                    force_teardown(
+                    return Err(force_teardown(
+                        GridError::Execution(
+                            "socket: timed out waiting for workers to connect".into(),
+                        ),
                         &shutdown,
                         &addr,
                         wctls,
@@ -1858,9 +1975,6 @@ impl SocketExecutor {
                         accept_handle,
                         &reader_handles,
                         workers,
-                    );
-                    return Err(GridError::Execution(
-                        "socket: timed out waiting for workers to connect".into(),
                     ));
                 }
                 match handshake_rx.recv_timeout(deadline - now) {
@@ -1903,12 +2017,14 @@ impl SocketExecutor {
                 eos_needed,
                 build_eos_needed,
                 build_source,
+                block_tuples: stage.exchange.buffer_tuples,
                 stage: self.config.stage.clone(),
             };
             configs.push(cfg.encode());
         }
         if let Err(e) = send_configs(&wctls, configs) {
-            force_teardown(
+            return Err(force_teardown(
+                e,
                 &shutdown,
                 &addr,
                 wctls,
@@ -1916,8 +2032,7 @@ impl SocketExecutor {
                 accept_handle,
                 &reader_handles,
                 workers,
-            );
-            return Err(e);
+            ));
         }
 
         // Shared run counters.
@@ -2300,7 +2415,7 @@ impl SocketExecutor {
                 ));
                 break;
             }
-            match event_rx.recv_timeout(deadline - now) {
+            match event_rx.recv_timeout((deadline - now).min(WORKER_POLL)) {
                 Ok(Event::Results(batch)) => results.extend(batch),
                 Ok(Event::Done {
                     worker,
@@ -2314,7 +2429,17 @@ impl SocketExecutor {
                         done += 1;
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Timeout) => {
+                    // A worker exits before SHUTDOWN only when it failed:
+                    // stop waiting for its DONE and report its error.
+                    if let Some(i) = (0..partitions).find(|&i| !seen_done[i] && workers[i].exited())
+                    {
+                        run_error = Some(GridError::Execution(format!(
+                            "socket: worker {i} exited before finishing"
+                        )));
+                        break;
+                    }
+                }
                 Err(RecvTimeoutError::Disconnected) => {
                     run_error = Some(GridError::Execution(
                         "socket: event channel closed before completion".into(),
@@ -2339,7 +2464,8 @@ impl SocketExecutor {
         };
 
         if let Some(err) = run_error {
-            force_teardown(
+            return Err(force_teardown(
+                err,
                 &shutdown,
                 &addr,
                 wctls,
@@ -2347,8 +2473,7 @@ impl SocketExecutor {
                 accept_handle,
                 &reader_handles,
                 workers,
-            );
-            return Err(err);
+            ));
         }
 
         // Graceful teardown. SHUTDOWN rides a ring barrier so it trails
@@ -2359,18 +2484,7 @@ impl SocketExecutor {
             let _ = w.send(WCtl::Barrier(vec![tag::SHUTDOWN]));
         }
         for (i, w) in workers.into_iter().enumerate() {
-            match w {
-                WorkerJoin::Thread(h) => match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => panicked.push(format!("worker {i}: {e}")),
-                    Err(_) => panicked.push(format!("worker {i}")),
-                },
-                WorkerJoin::Process(mut c) => match c.wait() {
-                    Ok(status) if status.success() => {}
-                    Ok(status) => panicked.push(format!("worker process {i}: {status}")),
-                    Err(e) => panicked.push(format!("worker process {i}: {e}")),
-                },
-            }
+            panicked.extend(w.wait(i));
         }
         for w in &wctls {
             let _ = w.send(WCtl::Shutdown);
@@ -2448,8 +2562,8 @@ struct WireOut<'a> {
 
 impl WireOut<'_> {
     fn send(&mut self, payload: Vec<u8>) {
-        let frame = self.link.stamp(kind::MSG, payload);
-        if *self.io_ok && write_frame(self.conn, &frame).is_err() {
+        let frame = self.link.stamp_retained(kind::MSG, payload);
+        if *self.io_ok && write_frame(self.conn, frame).is_err() {
             *self.io_ok = false;
         }
     }
@@ -2466,7 +2580,12 @@ enum Flow {
 struct WorkerState {
     cfg: WireConfig,
     evaluator: Box<dyn PartitionEvaluator>,
-    out: Vec<Tuple>,
+    /// The evaluator's output buffer; emptied after every tuple.
+    rows: Vec<Tuple>,
+    /// The pending RESULTS payload: outputs encoded as they are emitted.
+    results: Vec<u8>,
+    /// Rows encoded into `results` since it was last shipped.
+    results_rows: usize,
     processed: u64,
     due: f64,
     eos_seen: usize,
@@ -2486,7 +2605,9 @@ impl WorkerState {
         WorkerState {
             cfg,
             evaluator,
-            out: Vec::new(),
+            rows: Vec::new(),
+            results: vec![tag::RESULTS],
+            results_rows: 0,
             processed: 0,
             due: 0.0,
             eos_seen: 0,
@@ -2511,30 +2632,44 @@ impl WorkerState {
     }
 
     /// Evaluates one tuple, accruing its (perturbed, linearized) cost.
+    /// Its outputs are encoded into the pending RESULTS payload while
+    /// they are hot, and dropped.
     fn process_tuple(&mut self, stream: StreamTag, tuple: &Tuple) {
-        let Ok(base_cost_ms) = self.evaluator.process_into(stream, tuple, &mut self.out) else {
+        let Ok(base_cost_ms) = self.evaluator.process_into(stream, tuple, &mut self.rows) else {
             return;
         };
+        self.results_rows += self.rows.len();
+        for row in self.rows.drain(..) {
+            wire::put_tuple(&mut self.results, &row);
+        }
         self.due +=
             base_cost_ms * self.cfg.cost_factor + self.cfg.cost_extra_ms + self.cfg.receive_cost_ms;
         self.processed += 1;
     }
 
-    /// Ships a checkpoint ack. In resilient mode the pending outputs go
-    /// first: once the coordinator applies the ack the window can never
-    /// replay, so its outputs must already be owned downstream. The
-    /// dedup eviction is optimistic (the worker cannot see the log's
-    /// verdict); if the ack is dropped at the coordinator's chaos seam
-    /// the window retransmits, and the already-acked marker id shadows
-    /// its tuples via `is_acked` — the filter converges either way.
+    /// Ships the pending outputs as one RESULTS frame, if there are any.
+    fn ship_results(&mut self, wire: &mut WireOut<'_>) {
+        if self.results_rows == 0 {
+            return;
+        }
+        self.results_rows = 0;
+        let mut next = Vec::with_capacity(self.results.capacity());
+        next.push(tag::RESULTS);
+        wire.send(std::mem::replace(&mut self.results, next));
+    }
+
+    /// Ships a checkpoint ack. The pending outputs go first: once the
+    /// coordinator applies the ack the window can never replay, so its
+    /// outputs must already be owned downstream. The dedup eviction is
+    /// optimistic (the worker cannot see the log's verdict); if the ack
+    /// is dropped at the coordinator's chaos seam the window
+    /// retransmits, and the already-acked marker id shadows its tuples
+    /// via `is_acked` — the filter converges either way.
     fn ack_out(&mut self, wire: &mut WireOut<'_>, source: usize, cp: Checkpoint, epoch: u64) {
         if !self.cfg.logging {
             return;
         }
-        if self.cfg.resilient && !self.out.is_empty() {
-            let batch = std::mem::take(&mut self.out);
-            wire.send(enc_results(&batch));
-        }
+        self.ship_results(wire);
         wire.send(enc_ack(source, cp, epoch));
         if self.cfg.resilient {
             self.dedup.window_acked(source, cp.id);
@@ -2651,6 +2786,7 @@ impl WorkerState {
             }
         }
         self.pay_due();
+        self.ship_results(wire);
         Ok(())
     }
 
@@ -2663,7 +2799,8 @@ impl WorkerState {
         }
         if self.cfg.build_eos_needed > 0 && self.build_eos_seen == self.cfg.build_eos_needed {
             // The build phase is complete: replay the held probes,
-            // paying the accrued cost in slices.
+            // paying the accrued cost in slices and shipping each
+            // block's worth of outputs as it fills.
             for (n, (_source, tuple)) in std::mem::take(&mut self.held_probes)
                 .into_iter()
                 .enumerate()
@@ -2672,8 +2809,12 @@ impl WorkerState {
                     self.pay_due();
                 }
                 self.process_tuple(StreamTag::Probe, &tuple);
+                if self.results_rows >= self.cfg.block_tuples {
+                    self.ship_results(wire);
+                }
             }
             self.pay_due();
+            self.ship_results(wire);
             // The held probes are processed: their deferred window acks
             // are now true processing receipts.
             for (source, cp, epoch) in std::mem::take(&mut self.pending_acks) {
@@ -2683,10 +2824,7 @@ impl WorkerState {
         if self.eos_seen == self.cfg.eos_needed && !self.done_sent {
             self.done_sent = true;
             self.pay_due();
-            if !self.out.is_empty() {
-                let batch = std::mem::take(&mut self.out);
-                wire.send(enc_results(&batch));
-            }
+            self.ship_results(wire);
             wire.send(enc_done(self.processed, self.dedup.peak()));
             // Keep reading: late recalls and the SHUTDOWN frame still
             // arrive after DONE.
@@ -2798,7 +2936,8 @@ fn handle_msg(
             // it: re-insert raw, uncounted. Extracted state is build
             // tuples, which produce no output.
             let (stream, _source, tuple) = dec_forward(&mut r)?;
-            let _ = st.evaluator.process_into(stream, &tuple, &mut st.out);
+            let _ = st.evaluator.process_into(stream, &tuple, &mut st.rows);
+            st.rows.clear();
         }
         other => {
             return Err(GridError::Execution(format!(
@@ -2902,11 +3041,13 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridq_common::{QueryId, SubplanId, Value};
+    use gridq_common::check::{Check, Gen};
+    use gridq_common::{DetRng, QueryId, SubplanId, Value};
     use gridq_engine::distributed::{
         ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
     };
     use gridq_engine::table::Table;
+    use std::ops::Range;
 
     fn int_table(name: &str, n: usize) -> Arc<Table> {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
@@ -3262,22 +3403,59 @@ mod tests {
         assert!(matches!(err, GridError::Config(_)), "{err:?}");
     }
 
+    /// A writer over one fresh ring per producer, not yet connected,
+    /// with the producers' data edges and its control address.
+    fn test_writer(
+        producers: usize,
+        chaos: Option<Arc<dyn ChaosHook>>,
+    ) -> (WriterState, Vec<DataTx>, WriterTx, Receiver<WCtl>) {
+        let waker = Arc::new(Waker::new());
+        let (data_txs, rings) = (0..producers)
+            .map(|_| {
+                let (tx, rx) = ring::<Vec<u8>>(RING_BLOCKS);
+                let waker = Arc::clone(&waker);
+                (DataTx { ring: tx, waker }, rx)
+            })
+            .unzip();
+        let (tx, ctl_rx) = channel::<WCtl>();
+        let wctl = WriterTx {
+            tx,
+            waker: Arc::clone(&waker),
+        };
+        let st = WriterState {
+            worker: 0,
+            link: Arc::new(Mutex::new(LinkState::new())),
+            chaos,
+            rings,
+            waker,
+            conn: None,
+            out: Vec::new(),
+        };
+        (st, data_txs, wctl, ctl_rx)
+    }
+
+    /// A connected stream pair over a Unix-domain socket.
+    fn stream_pair() -> (Stream, Stream) {
+        let listener = Listener::bind(&Addr::scratch_unix()).unwrap();
+        let near = Stream::connect(&listener.local_addr().unwrap()).unwrap();
+        let far = listener.accept().unwrap();
+        (near, far)
+    }
+
+    fn read_to_end(mut s: Stream) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        s.read_to_end(&mut bytes).unwrap();
+        bytes
+    }
+
     /// CONFIG must hold the lowest sequence number on every link. The
     /// writer here starts only when the test releases it, so a
     /// configuration step that returned before its writers stamped
     /// CONFIG (and let producers start) is caught deterministically.
     #[test]
     fn config_is_stamped_before_producers_may_start() {
-        let link = Arc::new(Mutex::new(LinkState::new()));
-        let (data_tx, data_rx) = ring::<Vec<u8>>(8);
-        let (wctl, ctl_rx) = channel::<WCtl>();
-        let st = WriterState {
-            worker: 0,
-            link: Arc::clone(&link),
-            chaos: None,
-            rings: vec![data_rx],
-            conn: None,
-        };
+        let (st, data_txs, wctl, ctl_rx) = test_writer(1, None);
+        let link = Arc::clone(&st.link);
         let (go_tx, go_rx) = channel::<()>();
         let writer = thread::spawn(move || {
             if go_rx.recv().is_ok() {
@@ -3302,7 +3480,7 @@ mod tests {
         configured_rx.recv().unwrap().unwrap();
         assert_eq!(link.lock().unacked(), 1);
         // A producer starting now can only be stamped after CONFIG.
-        data_tx.push(vec![tag::DATA]).unwrap();
+        data_txs[0].push(vec![tag::DATA]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while link.lock().unacked() < 2 {
             assert!(Instant::now() < deadline, "data block never stamped");
@@ -3311,8 +3489,235 @@ mod tests {
         let frames = link.lock().retransmit_after(0);
         let tags: Vec<u8> = frames.iter().map(|f| f.payload[0]).collect();
         assert_eq!(tags, vec![tag::CONFIG, tag::DATA]);
-        wctl.send(WCtl::Shutdown).unwrap();
+        assert!(wctl.send(WCtl::Shutdown));
         writer.join().unwrap();
         coordinator.join().unwrap();
+    }
+
+    /// Fires `conn_drop` on exactly the `k`-th consultation.
+    #[derive(Debug)]
+    struct DropKth {
+        seen: AtomicU64,
+        k: u64,
+    }
+
+    impl ChaosHook for DropKth {
+        fn conn_drop(&self, _worker: usize) -> bool {
+            self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.k
+        }
+    }
+
+    /// One sweep coalesces blocks from two rings; `conn_drop` fires on
+    /// its 4th data frame. Frames 1–3 reach the peer, frames 4–6 come
+    /// back through `retransmit_after` on reconnect, and the receiving
+    /// link hands every sequence number to the application exactly
+    /// once, in order, however the byte stream is split.
+    #[test]
+    fn coalesced_sweep_survives_a_mid_batch_conn_drop() {
+        let chaos = DropKth {
+            seen: AtomicU64::new(0),
+            k: 4,
+        };
+        let (mut st, data_txs, _wctl, _ctl_rx) = test_writer(2, Some(Arc::new(chaos)));
+        for i in 0..3u8 {
+            for (p, tx) in data_txs.iter().enumerate() {
+                tx.push(vec![tag::DATA, p as u8, i]).unwrap();
+            }
+        }
+        // Round-robin passes: the sweep stamps ring 0 then ring 1, block
+        // by block.
+        let sent: Vec<Vec<u8>> = (0..3u8)
+            .flat_map(|i| (0..2u8).map(move |p| vec![tag::DATA, p, i]))
+            .collect();
+        let (near, far) = stream_pair();
+        st.conn = Some(near);
+        assert!(st.sweep_rings());
+        assert!(st.conn.is_none(), "the seam tears the connection down");
+        assert_eq!(st.link.lock().unacked(), 6, "every block is stamped");
+        let delivered = read_to_end(far);
+        let frames = Decoder::new().feed(&delivered).unwrap();
+        let seqs: Vec<u64> = frames.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3], "the frames before the seam arrive");
+        // Reconnect with a conservative hello (the peer confirms only
+        // seq 1), so the retransmission overlaps what was delivered.
+        let (near, far) = stream_pair();
+        assert!(st.handle(WCtl::Conn {
+            stream: near,
+            peer_last: 1,
+        }));
+        drop(st);
+        let resent = read_to_end(far);
+        let seqs: Vec<u64> = Decoder::new()
+            .feed(&resent)
+            .unwrap()
+            .iter()
+            .map(|f| f.seq)
+            .collect();
+        assert_eq!(seqs, vec![2, 3, 4, 5, 6]);
+        let stream: Vec<u8> = delivered.into_iter().chain(resent).collect();
+        Check::new("coalesced_reconnect").cases(64).run(
+            |g: &mut DetRng| g.vec_of(0, 8, |g| g.usize_in(0, stream.len() + 1)),
+            |cuts: &Vec<usize>| {
+                let mut cuts = cuts.clone();
+                cuts.sort_unstable();
+                let mut dec = Decoder::new();
+                let mut receiver = LinkState::new();
+                let mut fresh = Vec::new();
+                let mut prev = 0;
+                for cut in cuts.into_iter().chain(std::iter::once(stream.len())) {
+                    for f in dec.feed(&stream[prev..cut]).map_err(|e| e.to_string())? {
+                        if receiver.on_receive(&f) == Receive::Fresh {
+                            fresh.push(f.payload);
+                        }
+                    }
+                    prev = cut;
+                }
+                if fresh != sent {
+                    return Err(format!("application saw {fresh:?}"));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Drives one worker's `WorkerState` through `handle_msg` without a
+    /// coordinator: writes are off, so everything it sends stays in its
+    /// link outbox for inspection.
+    struct TestWorker {
+        state: Option<WorkerState>,
+        link: LinkState,
+        conn: Stream,
+        _peer: Stream,
+    }
+
+    impl TestWorker {
+        /// A join worker: source 0 builds, source 1 probes, and the
+        /// exchange block is 10 tuples.
+        fn join(resilient: bool) -> TestWorker {
+            let (conn, peer) = stream_pair();
+            let keys = int_table("k", 1);
+            let cfg = WireConfig {
+                worker: 0,
+                resilient,
+                logging: resilient,
+                hash_routing: true,
+                cost_scale: 1e-9,
+                receive_cost_ms: 0.0,
+                read_stall_ms: 0.0,
+                cost_factor: 1.0,
+                cost_extra_ms: 0.0,
+                eos_needed: 2,
+                build_eos_needed: 1,
+                build_source: Some(0),
+                block_tuples: 10,
+                stage: wire_join_spec(&keys, &keys),
+            };
+            let mut w = TestWorker {
+                state: None,
+                link: LinkState::new(),
+                conn,
+                _peer: peer,
+            };
+            w.feed(&cfg.encode());
+            w
+        }
+
+        fn feed(&mut self, payload: &[u8]) {
+            let mut io_ok = false;
+            let mut wire = WireOut {
+                link: &mut self.link,
+                conn: &mut self.conn,
+                io_ok: &mut io_ok,
+            };
+            handle_msg(&mut self.state, &mut wire, payload, &resolver(), 0).unwrap();
+        }
+
+        /// A DATA block from `source`: one tuple per key (its seq is the
+        /// key), then the given window markers.
+        fn data(&mut self, source: usize, stream: StreamTag, keys: Range<i64>, markers: &[u64]) {
+            let mut items: Vec<Staged> = keys
+                .map(|k| Staged::Tuple(stream, Tuple::with_seq(vec![Value::Int(k)], k as u64)))
+                .collect();
+            for &id in markers {
+                items.push(Staged::Marker(Checkpoint { dest: 0, id }, 0));
+            }
+            self.feed(&enc_data(source, false, &items));
+        }
+
+        /// Every payload the worker has sent so far, oldest first.
+        fn sent(&mut self) -> Vec<Vec<u8>> {
+            let frames = self.link.retransmit_after(0);
+            frames.into_iter().map(|f| f.payload).collect()
+        }
+
+        /// The join keys of each RESULTS frame sent so far.
+        fn results(&mut self) -> Vec<Vec<i64>> {
+            let mut batches = Vec::new();
+            for p in self.sent().iter().filter(|p| p[0] == tag::RESULTS) {
+                let mut r = Reader::new(&p[1..]);
+                let mut keys = Vec::new();
+                while !r.is_empty() {
+                    keys.push(wire::get_tuple(&mut r).unwrap().value(0).as_int().unwrap());
+                }
+                batches.push(keys);
+            }
+            batches
+        }
+    }
+
+    #[test]
+    fn probe_block_results_ship_with_the_block() {
+        let mut w = TestWorker::join(false);
+        w.data(0, StreamTag::Build, 0..20, &[]);
+        w.feed(&enc_eos(StreamTag::Build, 0));
+        assert!(w.results().is_empty(), "build tuples produce no output");
+        w.data(1, StreamTag::Probe, 15..25, &[]);
+        assert_eq!(w.results(), vec![(15..20).collect::<Vec<i64>>()]);
+        let tags: Vec<u8> = w.sent().iter().map(|p| p[0]).collect();
+        assert!(!tags.contains(&tag::DONE), "the probe stream has not ended");
+    }
+
+    #[test]
+    fn resilient_results_precede_the_ack_for_their_window() {
+        let mut w = TestWorker::join(true);
+        w.data(0, StreamTag::Build, 0..20, &[]);
+        w.feed(&enc_eos(StreamTag::Build, 0));
+        w.data(1, StreamTag::Probe, 15..25, &[1]);
+        let tags: Vec<u8> = w.sent().iter().map(|p| p[0]).collect();
+        assert_eq!(tags, vec![tag::RESULTS, tag::ACK], "{tags:?}");
+        assert_eq!(w.results(), vec![(15..20).collect::<Vec<i64>>()]);
+    }
+
+    #[test]
+    fn held_probe_replay_ships_a_frame_per_block() {
+        let mut w = TestWorker::join(false);
+        w.data(0, StreamTag::Build, 0..30, &[]);
+        w.data(1, StreamTag::Probe, 0..25, &[]);
+        assert!(w.results().is_empty(), "probes are held while building");
+        w.feed(&enc_eos(StreamTag::Build, 0));
+        let batches = w.results();
+        assert_eq!(
+            batches.iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![10, 10, 5]
+        );
+        assert_eq!(batches.concat(), (0..25).collect::<Vec<i64>>());
+    }
+
+    /// A worker that cannot build its stage exits at CONFIG. The run
+    /// must fail promptly with that worker's own error instead of
+    /// waiting out the collect deadline.
+    #[test]
+    fn a_failed_worker_fails_the_run_with_its_own_error() {
+        let table = int_table("t", 200);
+        let plan = call_plan(&table, 2);
+        let unresolvable: ServiceResolver = Arc::new(|_: &str, _: f64| None);
+        let mut config = SocketConfig::new(wire_call_spec(&table), unresolvable);
+        config.cost_scale = 0.002;
+        let started = Instant::now();
+        let err = SocketExecutor::new(catalog(&[&table]), config)
+            .run(&plan)
+            .unwrap_err();
+        assert!(err.to_string().contains("cannot resolve service"), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(30), "{err}");
     }
 }

@@ -62,13 +62,21 @@ impl Frame {
     /// Encodes the frame into its wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame's wire bytes to `out`, so a writer can coalesce
+    /// several frames into one buffer and one write.
+    #[inline]
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(HEADER_LEN + self.payload.len());
         out.extend_from_slice(&MAGIC);
         out.push(self.kind);
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.ack.to_le_bytes());
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
-        out
     }
 }
 

@@ -59,21 +59,26 @@ impl LinkState {
     /// the current cumulative ack, and retains a copy in the outbox
     /// until the peer acknowledges it. Sending counts as acking.
     pub fn stamp(&mut self, kind: u8, payload: Vec<u8>) -> Frame {
+        self.stamp_retained(kind, payload).clone()
+    }
+
+    /// [`LinkState::stamp`] without the copy: the frame moves into the
+    /// outbox and the caller encodes it from there.
+    pub fn stamp_retained(&mut self, kind: u8, payload: Vec<u8>) -> &Frame {
         debug_assert!(
             kind >= crate::frame::kind::MSG,
             "control frames are not sequenced"
         );
         self.next_seq += 1;
         self.received_since_ack = 0;
-        let frame = Frame {
+        self.outbox.push_back(Frame {
             kind,
             seq: self.next_seq,
             ack: self.last_received,
             payload,
-        };
-        self.outbox.push_back(frame.clone());
+        });
         self.peak_outbox = self.peak_outbox.max(self.outbox.len());
-        frame
+        &self.outbox[self.outbox.len() - 1]
     }
 
     /// A pure acknowledgement frame (unsequenced, empty payload).
